@@ -185,6 +185,9 @@ class HybridLinkEstimator(LinkEstimator):
     def neighbors(self) -> List[int]:
         return self.table.addresses()
 
+    def quality_version(self) -> Optional[int]:
+        return self.table.version
+
     def neighbor_qualities(self) -> List[tuple]:
         """Single-pass ``(address, ETX)`` view (hot: every parent update)."""
         out = []
@@ -409,6 +412,7 @@ class HybridLinkEstimator(LinkEstimator):
         if entry.etx_ewma is None:
             entry.etx_ewma = Ewma(self.config.alpha_outer)
         entry.etx_ewma.update(sample)
+        self.table.version += 1
 
     # ------------------------------------------------------------------
     # Table insertion (white + compare bits)

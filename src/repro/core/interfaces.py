@@ -77,6 +77,16 @@ class LinkEstimator(abc.ABC):
         link_quality = self.link_quality
         return [(neighbor, link_quality(neighbor)) for neighbor in self.neighbors()]
 
+    def quality_version(self) -> Optional[int]:
+        """A counter that changes whenever :meth:`neighbor_qualities` may.
+
+        Equal values from two calls promise an identical ``(address,
+        ETX)`` view in between, so a network layer may skip recomputing
+        from it.  ``None`` (the default) keeps no such promise: callers
+        must treat every query as possibly changed.
+        """
+        return None
+
     # -- pin bit --------------------------------------------------------
     @abc.abstractmethod
     def pin(self, neighbor: int) -> bool:

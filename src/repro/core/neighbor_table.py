@@ -78,6 +78,10 @@ class NeighborTable:
         self.capacity = capacity
         self._entries: Dict[int, NeighborEntry] = {}
         self.evictions = 0
+        #: Changes on every insert, removal, eviction and clear; the
+        #: estimator also bumps it whenever it changes an entry's ETX.
+        #: Equal versions mean an unchanged ``(address, ETX)`` view.
+        self.version = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -108,6 +112,7 @@ class NeighborTable:
             raise ValueError("table full; evict first")
         entry = NeighborEntry(addr=addr)
         self._entries[addr] = entry
+        self.version += 1
         return entry
 
     def evict_random_unpinned(
@@ -130,6 +135,7 @@ class NeighborTable:
         victim = rng.choice(pool)
         del self._entries[victim]
         self.evictions += 1
+        self.version += 1
         return victim
 
     def evict_worst_unpinned(self) -> Optional[int]:
@@ -143,6 +149,7 @@ class NeighborTable:
         victim = max(candidates, key=lambda pair: (pair[0], pair[1]))[1]
         del self._entries[victim]
         self.evictions += 1
+        self.version += 1
         return victim
 
     def clear(self) -> None:
@@ -153,11 +160,13 @@ class NeighborTable:
         it tallies events, not state.
         """
         self._entries.clear()
+        self.version += 1
 
     def remove(self, addr: int) -> bool:
         """Explicitly drop an entry (pinned or not).  Returns False if absent."""
         if addr in self._entries:
             del self._entries[addr]
+            self.version += 1
             return True
         return False
 

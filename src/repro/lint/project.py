@@ -41,7 +41,7 @@ from repro.lint.core import Finding, ModuleInfo, Rule, imported_names
 
 #: Bump when the extraction below changes shape: cached facts from older
 #: extractors are discarded wholesale.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 #: Container constructors whose module-level instances are mutable state.
 MUTABLE_CONSTRUCTORS = {
@@ -53,6 +53,11 @@ MUTATOR_METHODS = {
     "append", "extend", "insert", "add", "update", "setdefault", "pop",
     "popitem", "remove", "discard", "clear", "appendleft", "extendleft",
 }
+
+#: ``RngManager`` methods whose arguments name a stream.  ``stream``,
+#: ``cached_stream`` and ``draw`` share one keyspace; ``fork`` derives a
+#: child manager's seed.
+RNG_MANAGER_METHODS = ("stream", "cached_stream", "draw", "fork")
 
 #: ``numpy.random`` bit-generator constructors (explicit seeding required).
 BITGEN_NAMES = {"PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
@@ -148,7 +153,7 @@ class FileFacts:
     dataclasses: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: ``name -> {line, bases, methods: {name: line}, surfaces: {m: [..]}}``.
     classes: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    #: RNG call sites; see :func:`_extract_rng_sites` for the schema.
+    #: RNG call sites; see :class:`_ScopedVisitor` for the schema.
     rng_sites: List[Dict[str, object]] = field(default_factory=list)
 
     def to_json(self) -> Dict[str, object]:
@@ -279,7 +284,7 @@ class _ScopedVisitor(ast.NodeVisitor):
             len(node.targets) == 1
             and isinstance(node.targets[0], ast.Name)
             and isinstance(node.value, ast.Attribute)
-            and node.value.attr in ("stream", "cached_stream", "fork")
+            and node.value.attr in RNG_MANAGER_METHODS
         ):
             recv = _dotted(node.value.value) or _unparse(node.value.value, 60)
             self.aliases[-1][node.targets[0].id] = (node.value.attr, recv)
@@ -323,7 +328,7 @@ class _ScopedVisitor(ast.NodeVisitor):
                             "func": "" if not self.scope else self._qualname(),
                         }
                     )
-            if func.attr in ("stream", "cached_stream", "fork"):
+            if func.attr in RNG_MANAGER_METHODS:
                 recv = _dotted(func.value) or _unparse(func.value, 60)
                 self._rng_site(node, func.attr, recv, node.args)
         qual = _dotted(func)

@@ -95,6 +95,12 @@ class CtpRoutingEngine(CompareBitProvider):
         self._had_route = is_root
         self._pull_pending = False
         self._beacon_retry_pending = False
+        #: Changes whenever a neighbor's advertised parent or path ETX does
+        #: (``heard_at`` is not read by parent selection).
+        self._route_version = 0
+        #: ``(estimator quality version, route version, parent)`` as of the
+        #: last parent evaluation; :meth:`update_route` skips while it holds.
+        self._evaluated: Optional[tuple] = None
         #: Failure injection: a crashed routing engine neither beacons nor
         #: keeps route state (see :meth:`fault_shutdown`).
         self.enabled = True
@@ -125,6 +131,7 @@ class CtpRoutingEngine(CompareBitProvider):
         self.enabled = False
         self.trickle.stop()
         self.route_info.clear()
+        self._route_version += 1
         self.parent = None
         self._had_route = self.is_root
         self._pull_pending = False
@@ -168,6 +175,28 @@ class CtpRoutingEngine(CompareBitProvider):
     def update_route(self) -> None:
         """Re-evaluate the parent (hysteresis applies).
 
+        Returns early when nothing the evaluation reads has changed since
+        the last one: the estimator's quality version, the neighbors'
+        advertised routes and the parent.  The evaluation draws no
+        randomness and re-running it on unchanged inputs changes nothing,
+        so the skip is exact.  An estimator without a quality version
+        re-evaluates on every call.
+        """
+        if self.is_root:
+            return
+        quality_version = self.estimator.quality_version()
+        if quality_version is None:
+            self._select_parent()
+            return
+        route_version = self._route_version
+        if self._evaluated == (quality_version, route_version, self.parent):
+            return
+        self._select_parent()
+        self._evaluated = (quality_version, route_version, self.parent)
+
+    def _select_parent(self) -> None:
+        """The parent evaluation behind :meth:`update_route`.
+
         The loop is :meth:`_route_through` inlined over the estimator's
         single-pass ``(neighbor, link ETX)`` view: it runs for every beacon
         heard, and the per-neighbor attribute and table lookups dominate
@@ -175,8 +204,6 @@ class CtpRoutingEngine(CompareBitProvider):
         :meth:`_route_through` (an inf cost can never win ``cost <
         best_cost``).
         """
-        if self.is_root:
-            return
         inf = math.inf
         isinf = math.isinf
         route_info_get = self.route_info.get
@@ -259,7 +286,10 @@ class CtpRoutingEngine(CompareBitProvider):
                 path_etx=frame.path_etx,
                 heard_at=self.engine.now,
             )
+            self._route_version += 1
         else:  # overwrite in place (one allocation per neighbor, not per beacon)
+            if info_rec.parent != frame.parent or info_rec.path_etx != frame.path_etx:
+                self._route_version += 1
             info_rec.parent = frame.parent
             info_rec.path_etx = frame.path_etx
             info_rec.heard_at = self.engine.now

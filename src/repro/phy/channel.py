@@ -19,7 +19,10 @@ per pair, each OU / Gilbert state object carries its own pre-bound RNG
 stream, and the OU decay factors ``exp(-dt/tau)`` are memoized for
 repeating ``dt`` values.  All caches hold values that are pure functions
 of their keys, so they cannot change simulated results — the determinism
-contract in DESIGN.md relies on this.
+contract in DESIGN.md relies on this.  Values drawn only when a pair is
+first seen (static shadowing, the OU start value, the bimodal decision)
+come from one-shot :meth:`RngManager.draw` streams, so a city-scale
+network does not keep one generator state per pair alive for the run.
 """
 
 from __future__ import annotations
@@ -174,8 +177,9 @@ class ChannelModel:
     def _static_shadowing_db(self, a: int, b: int) -> float:
         key = self._pair(a, b)
         if key not in self._shadowing:
-            stream = self._rng.stream("shadow", key[0], key[1])
-            self._shadowing[key] = stream.gauss(0.0, self.shadowing_sigma_db)
+            self._shadowing[key] = self._rng.draw("shadow", key[0], key[1]).gauss(
+                0.0, self.shadowing_sigma_db
+            )
         return self._shadowing[key]
 
     def _temporal_for(self, key: Tuple[int, int], t: float) -> float:
@@ -183,9 +187,8 @@ class ChannelModel:
         state = self._ou.get(key)
         if state is None:
             a, b = key
-            init_stream = self._rng.stream("ou-init", a, b)
             state = _OUState(self._rng.stream("ou", a, b))
-            state.x = init_stream.gauss(0.0, self.temporal_sigma_db)
+            state.x = self._rng.draw("ou-init", a, b).gauss(0.0, self.temporal_sigma_db)
             state.t = t
             self._ou[key] = state
             return state.x
@@ -217,7 +220,9 @@ class ChannelModel:
         state = self._gilbert.get(key, _MISSING)
         if state is _MISSING:
             a, b = key
-            stream = self._rng.stream("bimodal", a, b)
+            # One-shot: both of its values are taken here, and the
+            # interned dwell stream below does not touch the draw state.
+            stream = self._rng.draw("bimodal", a, b)
             if stream.random() < self.bimodal_fraction:
                 state = _GilbertState(self._rng.stream("bimodal-dwell", a, b))
                 state.t = t
@@ -294,7 +299,7 @@ class ChannelModel:
         ten_n = 10.0 * pathloss.exponent
         d0 = pathloss.d0_m
         sigma = self.shadowing_sigma_db
-        rng = self._rng
+        draw = self._rng.draw
         ax, ay = positions[a]
         index_a = by_node.get(a)
         if index_a is None:
@@ -310,8 +315,7 @@ class ChannelModel:
                     d = d0
                 shadow = shadowing.get(key)
                 if shadow is None:
-                    stream = rng.stream("shadow", key[0], key[1])
-                    shadow = shadowing[key] = stream.gauss(0.0, sigma)
+                    shadow = shadowing[key] = draw("shadow", key[0], key[1]).gauss(0.0, sigma)
                 mean = -(pl_d0 + ten_n * math.log10(d / d0)) + shadow
                 mean_gain[key] = mean
                 index_a[key] = None

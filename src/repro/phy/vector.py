@@ -128,10 +128,14 @@ def prr_lookup(table: Any, sinr_db: Any) -> Any:
     """Vectorized ``prr_fast``: short-circuits plus a quantized gather.
 
     ``np.rint`` rounds half-to-even exactly like the exact path's builtin
-    ``round``, so the gather index matches scalar quantization.
+    ``round``, so the gather index matches scalar quantization.  The index
+    clamp is ``np.maximum``/``np.minimum`` rather than ``np.clip``: the
+    same result, at a fraction of ``np.clip``'s per-call overhead on the
+    few-element arrays one transmission produces.
     """
     idx = np.rint(sinr_db * 100.0).astype(np.int64) - PRR_TABLE_SNR_MIN_CENTI
-    np.clip(idx, 0, table.size - 1, out=idx)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, table.size - 1, out=idx)
     prr = table[idx]
     prr = np.where(sinr_db >= 25.0, 1.0, prr)
     return np.where(sinr_db <= -8.0, 0.0, prr)

@@ -9,6 +9,12 @@ substream.  This gives two properties the experiments rely on:
   (e.g. adding a retransmission) does not perturb the random sequence seen
   by unrelated components, so A/B comparisons between protocols share the
   same channel realization.
+
+A component that draws from its stream for the whole run holds an interned
+stream (:meth:`RngManager.stream`); a component that draws a few values once
+— a per-pair static shadowing sample — takes a one-shot
+:meth:`RngManager.draw`, which yields the same values without keeping a
+generator state per key alive for the run.
 """
 
 from __future__ import annotations
@@ -16,9 +22,20 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from typing import Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 _KeyPart = Union[str, int]
+
+_U64 = struct.Struct("<Q")
+_INT_PART = struct.Struct("<cQc")
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _encode_part(part: _KeyPart) -> bytes:
+    """Canonical encoding of one key part (type tag, payload, terminator)."""
+    if isinstance(part, int):
+        return _INT_PART.pack(b"i", part & _MASK64, b"\x00")
+    return b"s" + part.encode("utf-8") + b"\x00"
 
 
 def derive_seed(master_seed: int, *key: _KeyPart) -> int:
@@ -28,15 +45,9 @@ def derive_seed(master_seed: int, *key: _KeyPart) -> int:
     is stable across processes and Python versions (unlike ``hash()``).
     """
     h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<Q", master_seed & 0xFFFFFFFFFFFFFFFF))
+    h.update(_U64.pack(master_seed & _MASK64))
     for part in key:
-        if isinstance(part, int):
-            h.update(b"i")
-            h.update(struct.pack("<Q", part & 0xFFFFFFFFFFFFFFFF))
-        else:
-            h.update(b"s")
-            h.update(part.encode("utf-8"))
-        h.update(b"\x00")
+        h.update(_encode_part(part))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -53,28 +64,56 @@ class RngManager:
     def __init__(self, master_seed: int) -> None:
         self.master_seed = master_seed
         self._streams: dict[Tuple[_KeyPart, ...], random.Random] = {}
+        #: first key part → BLAKE2b state holding ``(master_seed, part)``;
+        #: copied per derivation so the shared prefix is hashed once.
+        self._prefixes: Dict[_KeyPart, Any] = {}
+        #: The one generator every :meth:`draw` reseeds and hands out.
+        self._scratch = random.Random(0)
+
+    def _seed_for(self, key: Tuple[_KeyPart, ...]) -> int:
+        """``derive_seed(self.master_seed, *key)``, reusing the hashed prefix."""
+        if not key:
+            return derive_seed(self.master_seed)
+        head = key[0]
+        prefix = self._prefixes.get(head)
+        if prefix is None:
+            prefix = hashlib.blake2b(digest_size=8)
+            prefix.update(_U64.pack(self.master_seed & _MASK64))
+            prefix.update(_encode_part(head))
+            self._prefixes[head] = prefix
+        h = prefix.copy()
+        for part in key[1:]:
+            h.update(_encode_part(part))
+        return int.from_bytes(h.digest(), "little")
 
     def stream(self, *key: _KeyPart) -> random.Random:
-        """Return the stream for ``key``, creating it on first use."""
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = self._streams[key] = random.Random(derive_seed(self.master_seed, *key))
-        return stream
+        """Return the stream for ``key``, creating it on first use.
 
-    def cached_stream(self, *key: _KeyPart) -> random.Random:
-        """Interned stream lookup for hot paths.
-
-        Identical to :meth:`stream` — the same interned ``random.Random``
-        comes back for a given key, so call sites that query every event
-        should call this once and hold the reference instead of re-deriving
-        the key per query (the tuple hash is what costs).  The separate
-        name documents that holding the reference is safe: streams are
-        never invalidated or replaced for the manager's lifetime.
+        The stream is interned for the manager's lifetime, so call sites
+        on hot paths may look it up once and hold the reference.
         """
         stream = self._streams.get(key)
         if stream is None:
-            stream = self._streams[key] = random.Random(derive_seed(self.master_seed, *key))
+            stream = self._streams[key] = random.Random(self._seed_for(key))
         return stream
+
+    #: Alias of :meth:`stream`; the name documents a hot-path call site
+    #: that holds the returned reference.
+    cached_stream = stream
+
+    def draw(self, *key: _KeyPart) -> random.Random:
+        """One-shot stream for ``key``: its values equal a fresh ``stream(*key)``.
+
+        Returns this manager's single scratch generator, reseeded with
+        ``derive_seed(master_seed, *key)`` (reseeding also clears the
+        cached second ``gauss`` value), and interns nothing.  The result is
+        valid only until the next :meth:`draw` on this manager: take every
+        value the key needs first, and never store the generator.  A key
+        that is drawn from again later must use :meth:`stream`.
+        """
+        scratch = self._scratch
+        scratch.seed(self._seed_for(key))
+        return scratch
 
     def fork(self, *key: _KeyPart) -> "RngManager":
         """Return a new manager whose master seed is derived from ``key``.

@@ -16,13 +16,14 @@ Regenerate (only when an intentional behavior change is made) with:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Dict
 
 from repro.sim.network import CollectionNetwork, SimConfig
 from repro.sim.rng import RngManager
-from repro.topology.generators import grid
+from repro.topology.generators import city_grid, grid
 
 GOLDEN_PATH = Path(__file__).parent / "collection_golden.json"
 
@@ -93,9 +94,64 @@ def golden_snapshot() -> Dict[str, object]:
     }
 
 
-def write_golden(snapshot: Dict[str, object]) -> None:
-    GOLDEN_PATH.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+def write_golden(snapshot: Dict[str, object], path: Path = GOLDEN_PATH) -> None:
+    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
 
 def load_golden() -> Dict[str, object]:
     return json.loads(GOLDEN_PATH.read_text())
+
+
+FAST_CITY_PATH = Path(__file__).parent / "fast_city_golden.json"
+
+#: The pinned run of the vectorized ``fast`` medium at city shape.
+FAST_CITY_CONFIG = {
+    "topology": "city_grid 100 nodes, 2x2 blocks of 60 m, topo seed 3",
+    "protocol": "4b",
+    "medium": "fast",
+    "seed": 1,
+    "duration_s": 60.0,
+    "warmup_s": 20.0,
+}
+
+
+def fast_city_snapshot() -> Dict[str, object]:
+    """Run the pinned fast-medium city scenario; counters, parents, ETX digest.
+
+    The ETX tables of 100 nodes are reduced to a SHA-256 of their
+    canonical JSON so the committed file stays small.
+    """
+    topo = city_grid(100, blocks=2, block_m=60.0, rng=RngManager(3).stream("topo"))
+    config = SimConfig(
+        protocol=FAST_CITY_CONFIG["protocol"],
+        seed=FAST_CITY_CONFIG["seed"],
+        duration_s=FAST_CITY_CONFIG["duration_s"],
+        warmup_s=FAST_CITY_CONFIG["warmup_s"],
+        medium=FAST_CITY_CONFIG["medium"],
+    )
+    net = CollectionNetwork(topo, config)
+    result = net.run()
+    etx_tables = {
+        nid: node.estimator.table_snapshot()
+        for nid, node in sorted(net.nodes.items())
+        if node.estimator is not None
+    }
+    etx_json = json.dumps(_canon(etx_tables), sort_keys=True)
+    return {
+        "config": FAST_CITY_CONFIG,
+        "counters": {
+            "events_run": result.events_run,
+            "offered": result.offered,
+            "accepted": result.accepted,
+            "unique_delivered": result.unique_delivered,
+            "duplicates_at_root": result.duplicates_at_root,
+            "total_data_tx": result.total_data_tx,
+            "beacons_sent": result.beacons_sent,
+            "medium_transmissions": net.medium.transmissions,
+            "medium_deliveries": net.medium.deliveries,
+            "medium_collisions": net.medium.collisions,
+            "white_bits_set": net.medium.white_bits_set,
+        },
+        "final_parents": _canon(result.final_parents),
+        "etx_tables_sha256": hashlib.sha256(etx_json.encode("utf-8")).hexdigest(),
+    }

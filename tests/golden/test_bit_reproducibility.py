@@ -10,7 +10,9 @@ import json
 import os
 
 from tests.golden.golden_utils import (
+    FAST_CITY_PATH,
     GOLDEN_PATH,
+    fast_city_snapshot,
     golden_snapshot,
     load_golden,
     write_golden,
@@ -32,6 +34,19 @@ def test_pinned_run_matches_golden():
     assert json.dumps(snapshot["etx_tables"], sort_keys=True) == json.dumps(
         golden["etx_tables"], sort_keys=True
     )
+
+
+def test_fast_city_run_matches_golden():
+    """The ``fast`` medium at city shape: counters, parents and ETX tables
+    pinned, so set-up and hot-path work on that backend stays exact too."""
+    snapshot = fast_city_snapshot()
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        write_golden(snapshot, FAST_CITY_PATH)
+    golden = json.loads(FAST_CITY_PATH.read_text())
+    assert snapshot["config"] == golden["config"], "pinned config drifted"
+    assert snapshot["counters"] == golden["counters"]
+    assert snapshot["final_parents"] == golden["final_parents"]
+    assert snapshot["etx_tables_sha256"] == golden["etx_tables_sha256"]
 
 
 def test_snapshot_is_self_reproducible():

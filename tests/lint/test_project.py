@@ -97,6 +97,24 @@ def test_extract_facts_tracks_stream_alias():
     assert site["components"] == [["lit", "rx"], ["lit", 3]]
 
 
+def test_extract_facts_records_draw_sites_and_aliases():
+    facts = extract_facts(
+        module_from(
+            """
+            class Channel:
+                def shadow(self, a, b):
+                    draw = self._rng.draw
+                    return draw("shadow", a, b), self._rng.draw("ou-init", 1, 2)
+            """
+        )
+    )
+    assert [(s["kind"], s["recv"]) for s in facts.rng_sites] == [
+        ("draw", "self._rng"),
+        ("draw", "self._rng"),
+    ]
+    assert facts.rng_sites[1]["components"] == [["lit", "ou-init"], ["lit", 1], ["lit", 2]]
+
+
 def test_facts_round_trip_json():
     facts = extract_facts(module_from("X = []\n\ndef f():\n    X.append(1)\n"))
     clone = type(facts).from_json(json.loads(json.dumps(facts.to_json())))
@@ -166,7 +184,7 @@ def test_rng_provenance_good_is_clean():
 def test_rng_provenance_bad_finds_every_class():
     findings = run_rule("rng-provenance", FIXTURES / "rng" / "bad")
     messages = "\n".join(f.message for f in findings)
-    assert len(findings) == 10  # 7 in repro/sim + 3 in repro/campaign
+    assert len(findings) == 13  # 7 in repro/sim + 3 in repro/campaign + 3 in repro/phy
     assert "unseeded Random construction" in messages
     assert "does not flow from derive_seed" in messages
     assert "`Generator(PCG64(12345))`" not in messages  # judged at PCG64 site
@@ -180,6 +198,13 @@ def test_rng_provenance_bad_finds_every_class():
     assert "`Random(seed * 1000 + i)`" in messages
     assert "first component `mode` is not a string literal" in messages
     assert "duplicate derive_seed stream tuple ('campaign', 0)" in messages
+    # The one-shot draw fixture: draw() follows the stream naming rules and
+    # shares the keyspace of interned streams.
+    draw_messages = [f.message for f in findings if f.path.endswith("draws.py")]
+    assert len(draw_messages) == 3
+    assert any("dynamic stream name in `draw(...)`" in m for m in draw_messages)
+    assert any("string-built stream-name component" in m for m in draw_messages)
+    assert any("duplicate stream stream tuple ('fade', 1, 2)" in m for m in draw_messages)
 
 
 def test_rng_provenance_ignores_modules_outside_deterministic_packages(tmp_path):

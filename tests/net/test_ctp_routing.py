@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from repro.core.estimator import EstimatorConfig
 from repro.net.ctp.frames import NO_PARENT, make_routing_frame
 from repro.net.ctp.routing import CtpRoutingConfig, CtpRoutingEngine
 from repro.sim.engine import Engine
 
 from tests.conftest import make_rx_info
+from tests.core.helpers import beacon, build_estimator, unicast_attempt
 from tests.net.helpers import FakeEstimator
 
 
@@ -184,3 +186,51 @@ def test_first_route_triggers_callback(engine):
     routing.estimator.set_quality(1, 1.0)
     routing.update_route()
     assert found == [True]
+
+
+# ----------------------------------------------------------------------
+# Skipping unchanged re-evaluations
+# ----------------------------------------------------------------------
+def _routing_over_real_estimator():
+    estimator, _client, engine = build_estimator(EstimatorConfig(ku=2, kb=2))
+    routing = CtpRoutingEngine(engine, estimator, node_id=0, is_root=False, rng=random.Random(5))
+    for src in (1, 2):
+        beacon(estimator, src, seq=0)
+        beacon(estimator, src, seq=1)  # kb beacons: one ETX sample, mature
+    hear(routing, 1, parent=9, path_etx=1.0)
+    hear(routing, 2, parent=9, path_etx=1.2)
+    return routing, estimator
+
+
+def test_unchanged_inputs_skip_reevaluation():
+    routing, estimator = _routing_over_real_estimator()
+    assert routing.parent == 1
+    calls = []
+    original = routing._select_parent
+    routing._select_parent = lambda: calls.append(1) or original()
+    routing.update_route()
+    hear(routing, 1, parent=9, path_etx=1.0)  # same advertisement: no change
+    assert calls == []
+    hear(routing, 1, parent=9, path_etx=1.1)
+    assert calls == [1]
+
+
+def test_ack_stream_etx_change_reevaluates_without_a_beacon():
+    routing, estimator = _routing_over_real_estimator()
+    assert routing.parent == 1
+    routing.update_route()  # recorded: nothing changed since
+    for _ in range(4):
+        unicast_attempt(estimator, 1, acked=False)  # two failed windows of ku
+    assert estimator.link_quality(1) > estimator.link_quality(2) + 1.5
+    routing.update_route()
+    assert routing.parent == 2
+
+
+def test_estimator_without_version_always_reevaluates(engine):
+    routing, est = make_engine(engine, qualities={1: 1.0, 2: 5.0})
+    hear(routing, 1, parent=0, path_etx=0.0)
+    hear(routing, 2, parent=0, path_etx=0.0)
+    assert routing.parent == 1
+    est.set_quality(1, 9.0)  # FakeEstimator has no quality version
+    routing.update_route()
+    assert routing.parent == 2

@@ -1,11 +1,12 @@
 """Unit tests for the channel model."""
 
 import math
+import random
 
 import pytest
 
 from repro.phy.channel import ChannelModel, PathLossModel
-from repro.sim.rng import RngManager
+from repro.sim.rng import RngManager, derive_seed
 
 
 def make_channel(**kwargs) -> ChannelModel:
@@ -132,3 +133,31 @@ def test_instantaneous_extra_combines_components():
     ch = make_channel(temporal_sigma_db=1.0, bimodal_fraction=0.0)
     extra = ch.instantaneous_extra_db(0, 1, 50.0)
     assert extra == pytest.approx(ch.temporal_db(0, 1, 50.0))
+
+
+def test_per_pair_draws_replay_named_streams_without_interning():
+    """Shadowing, the OU start value and the bimodal decision equal the
+    first values of their named streams, and none of those streams is
+    interned; only the multi-use OU and dwell streams are."""
+    channel = make_channel(bimodal_fraction=1.0)
+
+    def fresh(*key):
+        return random.Random(derive_seed(5, *key))
+
+    assert channel.mean_gain_db(2, 0) == -channel.pathloss.loss_db(25.0) + fresh(
+        "shadow", 0, 2
+    ).gauss(0.0, 3.0)
+    assert channel.mean_gain_many(1, [0, 2]) == [
+        channel.mean_gain_db(1, 0),
+        -channel.pathloss.loss_db(channel.distance(1, 2)) + fresh("shadow", 1, 2).gauss(0.0, 3.0),
+    ]
+    assert channel.temporal_db(1, 0, 4.0) == fresh("ou-init", 0, 1).gauss(0.0, 1.0)
+    channel.instantaneous_extra_db(0, 2, 4.0)
+    bimodal = fresh("bimodal", 0, 2)
+    assert bimodal.random() < 1.0
+    assert channel._gilbert[(0, 2)].faded == (bimodal.random() >= 240.0 / (240.0 + 80.0))
+    assert sorted(channel._rng._streams) == [
+        ("bimodal-dwell", 0, 2),
+        ("ou", 0, 1),
+        ("ou", 0, 2),
+    ]

@@ -8,7 +8,8 @@ from repro.core.estimator import EstimatorConfig
 from repro.net.ctp.protocol import CtpProtocol
 from repro.net.multihoplqi import MultiHopLqi
 from repro.sim.network import PROTOCOLS, CollectionNetwork, SimConfig
-from repro.topology.generators import grid
+from repro.sim.rng import RngManager
+from repro.topology.generators import city_grid, grid
 from repro.topology.testbeds import scaled_profile, MIRAGE
 
 
@@ -159,3 +160,14 @@ def test_default_medium_is_exact():
     net = CollectionNetwork(tiny_topology(), SimConfig(protocol="4b"))
     assert type(net.medium) is RadioMedium
     assert not isinstance(net.medium, FastRadioMedium)
+
+
+def test_city_build_keeps_channel_streams_linear_in_nodes():
+    """Building a 400-node fast network draws every candidate pair's static
+    shadowing once; those one-shot draws must not leave one interned
+    generator per pair behind (interned per-pair streams were 79,800, ~236 MB)."""
+    topo = city_grid(400, blocks=4, block_m=60.0, rng=RngManager(1).stream("t"))
+    net = CollectionNetwork(topo, SimConfig(protocol="4b", seed=1, medium="fast"))
+    net.medium.finalize()
+    assert len(net.channel._shadowing) > 10 * len(topo.positions)
+    assert len(net.channel._rng._streams) <= 2 * len(topo.positions)

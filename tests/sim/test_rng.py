@@ -1,5 +1,7 @@
 """Unit tests for deterministic RNG streams."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,7 @@ from repro.sim.rng import RngManager, derive_seed
 def test_same_key_same_stream_object():
     mgr = RngManager(1)
     assert mgr.stream("a", 1) is mgr.stream("a", 1)
+    assert mgr.cached_stream("a", 1) is mgr.stream("a", 1)
 
 
 def test_streams_are_deterministic_across_managers():
@@ -89,3 +92,30 @@ def test_derive_seed_golden_values():
     assert derive_seed(42, "node", 3, "phy") == 3960814292293960541
     assert derive_seed(1, "link", 0, 1) == 391915258420543110
     assert derive_seed(123456789, "interferer") == 18341706212044594796
+
+
+_key_parts = st.one_of(st.integers(min_value=-(2**70), max_value=2**70), st.text(max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(),
+    st.lists(st.tuples(st.text(max_size=8), st.lists(_key_parts, max_size=3)), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=5),
+)
+def test_property_draw_matches_fresh_stream(master, keys, n_gauss):
+    """Every draw replays ``Random(derive_seed(master, *key))`` exactly —
+    including after the scratch generator was left holding a cached
+    second gauss value by an odd number of ``gauss`` calls — and interns
+    nothing."""
+    mgr = RngManager(master)
+    for name, rest in keys:
+        key = (name, *rest)
+        got = mgr.draw(*key)
+        want = random.Random(derive_seed(master, *key))
+        assert [got.gauss(0.0, 1.0) for _ in range(n_gauss)] == [
+            want.gauss(0.0, 1.0) for _ in range(n_gauss)
+        ]
+        assert got.random() == want.random()
+        assert mgr.draw(*key).getstate() == random.Random(derive_seed(master, *key)).getstate()
+    assert mgr._streams == {}
